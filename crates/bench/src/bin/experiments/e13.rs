@@ -37,8 +37,7 @@ use dvc_cluster::node::NodeId;
 use dvc_core::reliability::{self, Policy};
 use dvc_core::vc;
 use dvc_mpi::harness;
-use dvc_sim_core::trace::{Trace, TraceStats};
-use dvc_sim_core::trial::{run_trials, CampaignSummary};
+use dvc_sim_core::trial::run_trials;
 use dvc_sim_core::{
     CheckCounts, FaultPlan, InvariantChecker, JsonlSink, Metrics, MetricsSnapshot, SimDuration,
     SimTime,
@@ -59,7 +58,6 @@ struct TrialOut {
     restores: u32,
     degraded: u32,
     injected: u64,
-    trace: TraceStats,
     metrics: MetricsSnapshot,
     violations: Vec<String>,
     checked: Option<CheckCounts>,
@@ -117,7 +115,6 @@ fn one(seed: u64, x: f64, arm: Arm, check: bool, export: bool) -> TrialOut {
         ..TrialWorld::default()
     };
     let (mut sim, vc_id) = tw.build();
-    sim.trace = Trace::enabled(512).with_categories(&["fault", "rel", "lsc"]);
     sim.metrics = Metrics::enabled();
     let checker = check.then(|| {
         let c = Rc::new(RefCell::new(InvariantChecker::new(
@@ -172,7 +169,6 @@ fn one(seed: u64, x: f64, arm: Arm, check: bool, export: bool) -> TrialOut {
         restores: rel.restores,
         degraded: rel.degraded_checkpoints,
         injected: sim.world.faults.injected_total(),
-        trace: sim.trace.stats(),
         metrics: sim.metrics.snapshot(),
         violations: checker
             .as_ref()
@@ -186,7 +182,6 @@ fn one(seed: u64, x: f64, arm: Arm, check: bool, export: bool) -> TrialOut {
 pub fn run(opts: Opts) {
     println!("## E13 — chaos drill: failure-aware checkpointing under compound faults\n");
     let trials = opts.trials(8);
-    let mut summary = CampaignSummary::default();
     let mut rollup = MetricsSnapshot::default();
     let mut exported: Option<Vec<String>> = None;
     let mut exported_baseline: Option<Vec<String>> = None;
@@ -229,7 +224,6 @@ pub fn run(opts: Opts) {
                 / succ.max(1) as f64;
             let mean = |f: &dyn Fn(&TrialOut) -> f64| rs.iter().map(f).sum::<f64>() / trials as f64;
             for r in &rs {
-                summary.absorb(&r.trace);
                 rollup.merge(&r.metrics);
                 if let Some(c) = r.checked {
                     counts.windows += c.windows;
@@ -260,10 +254,6 @@ pub fn run(opts: Opts) {
         }
     }
     println!("{}", t.render());
-    println!("{summary}");
-    if let Some(w) = summary.dropped_warning() {
-        println!("{w}");
-    }
     if !rollup.is_empty() {
         println!("\nmetrics rollup (both arms, all severities):\n");
         println!("```");

@@ -56,6 +56,15 @@ impl Extensions {
     pub fn contains<T: 'static>(&self) -> bool {
         self.map.contains_key(&TypeId::of::<T>())
     }
+
+    /// How many distinct types are stored.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -99,6 +108,7 @@ mod tests {
         let taken = e.remove::<CoordState>().unwrap();
         assert_eq!(taken.arms, 5);
         assert!(!e.contains::<CoordState>());
+        assert!(e.is_empty());
     }
 
     #[test]
@@ -106,6 +116,7 @@ mod tests {
         let mut e = Extensions::new();
         e.insert(CoordState { arms: 1 });
         e.insert(42u64);
+        assert_eq!(e.len(), 2);
         assert_eq!(*e.get::<u64>().unwrap(), 42);
         assert_eq!(e.get::<CoordState>().unwrap().arms, 1);
     }

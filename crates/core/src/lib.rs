@@ -36,9 +36,7 @@ pub mod vc;
 
 pub use batch::{submit_dvc_job, DvcJobSpec, DvcJobState};
 pub use lsc::RestoreOutcome;
-pub use lsc::{
-    checkpoint_vc, restore_vc, restore_vc_intact, LscMethod, LscOutcome, LscReport, RestoreError,
-};
+pub use lsc::{checkpoint_vc, restore_vc, restore_vc_intact, LscMethod, LscOutcome, RestoreError};
 pub use migrate::{live_migrate_vc, LiveMigrateCfg, LiveMigrateOutcome};
 pub use vc::{
     provision_vc, teardown_vc, CheckpointSet, CheckpointStore, VcId, VcSpec, VirtualCluster,

@@ -201,9 +201,6 @@ pub struct RestoreOutcome {
     pub detail: String,
 }
 
-/// Alias kept for the public API: a full checkpoint report.
-pub type LscReport = LscOutcome;
-
 type DoneCb = Box<dyn FnOnce(&mut Sim<ClusterWorld>, LscOutcome)>;
 
 struct CkptRun {
@@ -238,6 +235,8 @@ struct CkptRun {
     resume_acks: usize,
     resume_attempts: u32,
     save_done_at: Option<SimTime>,
+    /// The checkpoint set this run stored, once it has stored one.
+    set_id: Option<u64>,
     finished: bool,
     on_done: Option<DoneCb>,
     /// Causal spans (all [`SpanId::NONE`] when no sink is attached). The
@@ -306,6 +305,7 @@ pub fn checkpoint_vc(
                 resume_acks: 0,
                 resume_attempts: 0,
                 save_done_at: None,
+                set_id: None,
                 finished: false,
                 on_done: Some(Box::new(on_done)),
                 round_span: SpanId::NONE,
@@ -397,7 +397,10 @@ fn start_attempt(sim: &mut Sim<ClusterWorld>, run_id: u64) {
             arm_run_watchdog(sim, run_id, lead + save_timeout());
         }
         LscMethod::Hardened {
-            lead, ack_guard, ..
+            lead,
+            ack_guard,
+            max_attempts,
+            ..
         } => {
             let t_fire_local = fire_instant(sim, lead);
             for (i, vm, host) in members {
@@ -432,43 +435,7 @@ fn start_attempt(sim: &mut Sim<ClusterWorld>, run_id: u64) {
                 .saturating_sub(ack_guard)
                 .max(SimDuration::from_millis(1));
             sim.schedule_in(review_in, move |sim| {
-                let (ok, vc_id, attempts_left) = {
-                    let Some(r) = runs(sim).runs.get_mut(&run_id) else {
-                        return;
-                    };
-                    if r.attempt_epoch != attempt || r.finished {
-                        return;
-                    }
-                    let max = match r.method {
-                        LscMethod::Hardened { max_attempts, .. } => max_attempts,
-                        _ => 1,
-                    };
-                    (r.acks == r.expected, r.vc, r.attempts < max)
-                };
-                let _ = vc_id;
-                if ok {
-                    return; // commit: arms fire at T
-                }
-                // Abort this attempt before anything pauses, then retry.
-                if let Some(r) = runs(sim).runs.get_mut(&run_id) {
-                    r.aborted = true;
-                }
-                if attempts_left {
-                    let vc = runs(sim).runs.get(&run_id).map(|r| r.vc.0).unwrap_or(0);
-                    sim.emit(Event::Lsc(LscEvent::AbortReArm {
-                        run: run_id,
-                        vc,
-                        attempt,
-                    }));
-                    start_attempt(sim, run_id);
-                } else {
-                    finish_run(
-                        sim,
-                        run_id,
-                        false,
-                        "arm acks incomplete after retries".into(),
-                    );
-                }
+                review_arm_acks(sim, run_id, attempt, max_attempts)
             });
             arm_run_watchdog(sim, run_id, lead + save_timeout());
         }
@@ -509,40 +476,48 @@ fn start_attempt(sim: &mut Sim<ClusterWorld>, run_id: u64) {
             // (nothing has paused yet) and re-arms from scratch, which
             // simply waits out a partition window.
             sim.schedule_in(ack_timeout, move |sim| {
-                let (ok, attempts_left) = {
-                    let Some(r) = runs(sim).runs.get_mut(&run_id) else {
-                        return;
-                    };
-                    if r.attempt_epoch != attempt || r.finished {
-                        return;
-                    }
-                    (r.acks == r.expected, r.attempts < max_attempts)
-                };
-                if ok {
-                    return;
-                }
-                if let Some(r) = runs(sim).runs.get_mut(&run_id) {
-                    r.aborted = true;
-                }
-                if attempts_left {
-                    let vc = runs(sim).runs.get(&run_id).map(|r| r.vc.0).unwrap_or(0);
-                    sim.emit(Event::Lsc(LscEvent::AbortReArm {
-                        run: run_id,
-                        vc,
-                        attempt,
-                    }));
-                    start_attempt(sim, run_id);
-                } else {
-                    finish_run(
-                        sim,
-                        run_id,
-                        false,
-                        "arm acks incomplete after retries".into(),
-                    );
-                }
+                review_arm_acks(sim, run_id, attempt, max_attempts)
             });
             arm_run_watchdog(sim, run_id, ack_timeout + save_timeout());
         }
+    }
+}
+
+/// The hardened family's ack review: if every member acked this attempt's
+/// arm, commit (the arms fire on their own); otherwise abort the attempt
+/// before anything pauses and re-arm, or fail the run once `max_attempts`
+/// attempts have been spent.
+fn review_arm_acks(sim: &mut Sim<ClusterWorld>, run_id: u64, attempt: u32, max_attempts: u32) {
+    let (ok, attempts_left) = {
+        let Some(r) = runs(sim).runs.get_mut(&run_id) else {
+            return;
+        };
+        if r.attempt_epoch != attempt || r.finished {
+            return;
+        }
+        (r.acks == r.expected, r.attempts < max_attempts)
+    };
+    if ok {
+        return;
+    }
+    if let Some(r) = runs(sim).runs.get_mut(&run_id) {
+        r.aborted = true;
+    }
+    if attempts_left {
+        let vc = runs(sim).runs.get(&run_id).map(|r| r.vc.0).unwrap_or(0);
+        sim.emit(Event::Lsc(LscEvent::AbortReArm {
+            run: run_id,
+            vc,
+            attempt,
+        }));
+        start_attempt(sim, run_id);
+    } else {
+        finish_run(
+            sim,
+            run_id,
+            false,
+            "arm acks incomplete after retries".into(),
+        );
     }
 }
 
@@ -843,10 +818,6 @@ fn on_all_saves_resolved(sim: &mut Sim<ClusterWorld>, run_id: u64) {
             let r = runs(sim).runs.get_mut(&run_id).unwrap();
             r.images.iter().map(|i| i.clone().expect("image")).collect()
         };
-        let skew = {
-            let r = runs(sim).runs.get(&run_id).unwrap();
-            skew_of(&r.pause_times)
-        };
         let st = vc::store(sim);
         let id = st.alloc_id();
         st.sets.push(CheckpointSet {
@@ -863,11 +834,7 @@ fn on_all_saves_resolved(sim: &mut Sim<ClusterWorld>, run_id: u64) {
         }));
         id
     };
-    sim.world
-        .ext
-        .get_or_default::<LastSetId>()
-        .0
-        .insert(run_id, set_id);
+    runs(sim).runs.get_mut(&run_id).expect("run").set_id = Some(set_id);
 
     // Hardened family: verify images (read back a fraction) before
     // resuming.
@@ -888,10 +855,6 @@ fn on_all_saves_resolved(sim: &mut Sim<ClusterWorld>, run_id: u64) {
     }
     coordinated_resume(sim, run_id);
 }
-
-/// Map run → stored set id (so `finish_run` can report it).
-#[derive(Default)]
-struct LastSetId(HashMap<u64, u64>);
 
 /// Resume every member using the same coordination discipline as the save.
 fn coordinated_resume(sim: &mut Sim<ClusterWorld>, run_id: u64) {
@@ -1105,17 +1068,11 @@ fn finish_run(sim: &mut Sim<ClusterWorld>, run_id: u64, success: bool, detail: S
             return;
         }
         r.finished = true;
-        let set_id = sim
-            .world
-            .ext
-            .get::<LastSetId>()
-            .and_then(|m| m.0.get(&run_id).copied());
-        let r = runs(sim).runs.get_mut(&run_id).unwrap();
         let outcome = LscOutcome {
             vc: r.vc,
             method: r.method.name(),
             success,
-            set_id,
+            set_id: r.set_id,
             pause_skew: skew_of(&r.pause_times),
             resume_skew: skew_of(&r.resume_times),
             save_duration: r
@@ -1515,5 +1472,55 @@ mod method_tests {
             assert_eq!(m.name(), *n);
         }
         assert!(LscMethod::from_name("chrony").is_none());
+    }
+}
+
+#[cfg(test)]
+mod run_state_tests {
+    use super::*;
+    use crate::vc::{VcSpec, VcState};
+    use dvc_cluster::world::ClusterBuilder;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    #[test]
+    fn finished_runs_leave_no_per_run_state() {
+        let mut sim = Sim::new(ClusterBuilder::new().nodes_per_cluster(4).build(7), 7);
+        let mut spec = VcSpec::new("state-vc", 2, 64);
+        spec.os_image_bytes = 16 << 20;
+        spec.boot_time = SimDuration::from_secs(1);
+        let vc_id = vc::provision_vc(&mut sim, spec, vec![NodeId(1), NodeId(2)], |_, _| {});
+        while vc::vc(&sim, vc_id).map(|v| v.state) != Some(VcState::Up) {
+            assert!(sim.step(), "provisioning stalled");
+        }
+        // The registries every run shares exist from here on; anything a
+        // run adds to the type map after this is per-run residue.
+        runs(&mut sim);
+        vc::store(&mut sim);
+        let shared = sim.world.ext.len();
+
+        let outcomes: Rc<RefCell<Vec<LscOutcome>>> = Rc::default();
+        for _ in 0..4 {
+            let sink = outcomes.clone();
+            checkpoint_vc(&mut sim, vc_id, LscMethod::Naive, move |_, out| {
+                sink.borrow_mut().push(out)
+            });
+            let until = sim.now() + SimDuration::from_secs(600);
+            let before = outcomes.borrow().len();
+            while outcomes.borrow().len() == before {
+                assert!(sim.now() < until && sim.step(), "checkpoint stalled");
+            }
+        }
+
+        let set_ids: Vec<Option<u64>> = outcomes.borrow().iter().map(|o| o.set_id).collect();
+        assert!(outcomes.borrow().iter().all(|o| o.success), "{set_ids:?}");
+        assert!(set_ids.windows(2).all(|w| w[0] < w[1]), "{set_ids:?}");
+        assert!(set_ids.iter().all(Option::is_some), "{set_ids:?}");
+        assert!(runs(&mut sim).runs.is_empty());
+        assert_eq!(
+            sim.world.ext.len(),
+            shared,
+            "finished runs left state behind in the world's type map"
+        );
     }
 }

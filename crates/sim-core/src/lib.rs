@@ -38,7 +38,6 @@ pub mod sim;
 pub mod span;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod trial;
 
 pub use attrib::{PhaseAttribution, PhaseSample, RoundRecord};

@@ -6,16 +6,33 @@
 //! faults, a 2-minute NTP outage with a clock step mid-way, a storage
 //! brownout, a control partition of one member — and one VC host simply
 //! crashes. The job finishes anyway, with verified data; the fault
-//! timeline below is reconstructed from the simulation trace, so the whole
-//! incident is auditable after the fact.
+//! timeline below is read back out of the typed event stream (a
+//! [`JsonlSink`] on the spine), so the whole incident is auditable after
+//! the fact.
 //!
 //! Run: `cargo run --release --example chaos_drill`
 
 use dvc_suite::prelude::*;
 use dvc_suite::scenarios::{self, Testbed};
-use dvc_suite::sim_core::trace::Trace;
-use dvc_suite::sim_core::FaultPlan;
+use dvc_suite::sim_core::{FaultPlan, JsonlSink};
 use dvc_suite::{cluster, dvc, mpi, workloads};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+/// Split one flat JSONL record `{"t":…,"key":"…",fields…}` into its time,
+/// its key and its remaining fields rendered as ` name=value` pairs.
+fn split_record(line: &str) -> (SimTime, &str, String) {
+    let rest = line.strip_prefix("{\"t\":").expect("record starts with t");
+    let (t, rest) = rest.split_once(",\"key\":\"").expect("record has a key");
+    let (key, fields) = rest.split_once('"').expect("key is quoted");
+    let fields = fields
+        .trim_end_matches('}')
+        .replace('"', "")
+        .replace(':', "=")
+        .replace(',', " ");
+    (SimTime(t.parse().expect("numeric t")), key, fields)
+}
 
 fn main() {
     let seed = 1337;
@@ -24,7 +41,8 @@ fn main() {
         seed,
         ..Testbed::default()
     });
-    sim.trace = Trace::enabled(4096).with_categories(&["fault", "rel", "lsc"]);
+    let events = Rc::new(RefCell::new(JsonlSink::new(1 << 20)));
+    sim.attach_sink(events.clone());
 
     let hosts: Vec<NodeId> = (1..=4).map(NodeId).collect();
     let mut spec = VcSpec::new("drill-vc", 4, 64);
@@ -76,31 +94,35 @@ fn main() {
         mpi::harness::all_done(sim, &job)
     });
 
-    // --- the incident timeline, from the trace ---------------------------
-    println!("\n== fault timeline (from the simulation trace):");
-    let mut ntp_suppressed = 0u64;
-    for r in sim.trace.in_category("fault") {
-        // The outage spams one record per unanswered poll; summarize those.
-        if r.message.contains("ntp request") {
-            ntp_suppressed += 1;
+    // --- the incident timeline, from the typed event stream ---------------
+    let lines = std::mem::take(&mut events.borrow_mut().lines);
+    assert_eq!(events.borrow().dropped, 0, "event stream was truncated");
+    let records: Vec<_> = lines.iter().map(|l| split_record(l)).collect();
+    let mut per_key: BTreeMap<&str, u64> = BTreeMap::new();
+    println!("\n== fault timeline (from the typed event stream):");
+    for (t, key, fields) in &records {
+        let fault_side = key.starts_with("storage.")
+            || (key.starts_with("fault.") && *key != "fault.injected")
+            || *key == "ntp.unanswered";
+        if !fault_side {
             continue;
         }
-        println!("   [{}] {}", r.time, r.message);
+        *per_key.entry(key).or_insert(0) += 1;
+        // The outage spams one record per unanswered poll; summarize those.
+        if *key != "ntp.unanswered" {
+            println!("   [{t}] {key}{fields}");
+        }
     }
-    if ntp_suppressed > 0 {
-        println!("   (+ {ntp_suppressed} unanswered NTP polls during the outage)");
+    if let Some(n) = per_key.get("ntp.unanswered") {
+        println!("   (+ {n} unanswered NTP polls during the outage)");
     }
-    println!("== reliability events:");
-    for r in sim.trace.in_category("rel") {
-        println!("   [{}] {}", r.time, r.message);
+    println!("== reliability events (stale NTP sync: clock-free checkpoint):");
+    for (t, key, fields) in records.iter().filter(|r| r.1 == "ntp.sync_stale") {
+        println!("   [{t}] {key}{fields}");
     }
-    let injected: Vec<String> = sim
-        .world
-        .faults
-        .injected()
-        .map(|(k, n)| format!("{k}: {n}"))
-        .collect();
-    println!("== faults injected: {}", injected.join(", "));
+    let injected: BTreeMap<&str, u64> = sim.world.faults.injected().collect();
+    let listed: Vec<String> = injected.iter().map(|(k, n)| format!("{k}: {n}")).collect();
+    println!("== faults injected: {}", listed.join(", "));
 
     // --- verdict -----------------------------------------------------------
     assert!(
@@ -112,6 +134,19 @@ fn main() {
         assert!(workloads::ring::ring_ok(
             &mpi::harness::rank(&sim, &job, r).data
         ));
+    }
+    // Two independent paths to the same numbers: the effects seen on the
+    // event stream against the fault plane's own injection tally.
+    for (kind, key) in [
+        ("control.drop", "fault.ctrl_dropped"),
+        ("image.corrupt", "storage.checksum_fail"),
+        ("ntp.outage", "ntp.unanswered"),
+    ] {
+        assert_eq!(
+            per_key.get(key),
+            injected.get(kind),
+            "timeline {key} count disagrees with injected {kind}"
+        );
     }
     let st = dvc::reliability::stats(&mut sim, vc);
     println!(
